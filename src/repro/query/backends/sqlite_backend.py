@@ -36,12 +36,10 @@ the reference by rounding order, hence the documented value-equality bar of
 ``1e-9`` for storage-owning backends (in-process backends stay bit-identical).
 
 Sharding: the backend has no ``plan_context`` (SQLite owns filtering and
-grouping), so under plan-level sharding each worker slot gets its **own**
-backend instance -- its own connection and in-memory materialisation of the
-same bound table -- and runs whole plans via :meth:`run_plan`.  Identical
-inserts produce identical databases, so sharded results are deterministic.
-Group-range sharding does not apply (there are no in-process group codes to
-split) and degrades to serial execution.
+grouping), so with several workers each worker slot gets its **own** backend
+instance -- its own connection and in-memory materialisation of the same
+bound table -- and runs whole plans via :meth:`run_plan`.  Identical inserts
+produce identical databases, so sharded results are deterministic.
 """
 
 from __future__ import annotations

@@ -50,8 +50,7 @@ enforced by ``tests/query/test_delta_equivalence.py``):
 Storage-owning backends participate through ``ExecutionBackend.refresh``:
 sqlite ``INSERT``\\ s the appended slice into its materialised table
 (extending the first-appearance label dictionaries so rowids and codes
-continue), and the process-pool scheduler unlinks its shared-memory
-segments so the next dispatch republishes the appended table.
+continue), on the engine's own backend and on every worker slot's backend.
 """
 
 from __future__ import annotations

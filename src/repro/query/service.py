@@ -1,7 +1,7 @@
 """Admission-controlled query service: cross-request coalescing into fused batches.
 
 The engine layers below this module execute *one caller's* batch fast: fused
-plans, sharded workers, process pools, byte budgets, delta refresh.  Under
+plans, a worker thread pool, byte budgets, delta refresh.  Under
 service traffic -- many concurrent callers hammering one relevant table --
 each caller issuing its own ``execute_batch`` still forfeits cross-request
 reuse: two callers asking for the same template's features pay the masks,
@@ -38,8 +38,8 @@ the admission layer that turns the engine into a shared service:
 Determinism contract: the dispatcher is one thread and the engine rounds are
 ordinary ``execute_plans`` calls, so results are **bit-identical** to each
 caller running its queries serially on the same engine, at any concurrency
-level, on every backend / shard strategy / executor combination (1e-9 for
-sqlite, matching the engine's own bar) -- pinned by
+level, on every backend and worker count (1e-9 for sqlite, matching the
+engine's own bar) -- pinned by
 ``tests/query/test_service.py`` and the acceptance hammer test.
 
 Observability: the service books ``service_admitted`` / ``service_rejected``

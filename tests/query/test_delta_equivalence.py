@@ -4,8 +4,8 @@ The bar of the delta-aware engine (:mod:`repro.query.delta`): after any
 sequence of ``Table.append_rows`` calls, a warm engine -- whatever it
 upgraded in place and whatever it evicted -- must return exactly what a
 fresh engine over the fully rebuilt table returns.  The in-process backends
-(numpy / python) are held to **bit-for-bit** identity at every worker count
-and under both shard strategies and both executors; the storage-owning
+(numpy / python) are held to **bit-for-bit** identity at every worker count;
+the storage-owning
 sqlite backend (which ``INSERT``\\ s the appended slice into its
 materialised database) keeps its usual ``1e-9`` value bar.
 
@@ -13,7 +13,7 @@ Covered append shapes: empty appends (version bump, zero-row delta), new
 categorical labels, NaN / missing rows, rows creating brand-new groups, and
 repeated appends between query batches.  The hypothesis property generates
 the base/delta split; the fixed matrix replays one adversarial append on
-every backend x strategy x executor x worker-count combination.
+every backend x worker-count combination.
 
 Also pinned here: the refresh counters (``EngineStats.REFRESH_FIELDS``)
 book deterministically -- extensions and merges in incremental mode, pure
@@ -131,7 +131,7 @@ def assert_equivalent(results, references, tolerance: float, tag):
 
 def rebuilt_results(rows, backend: str, queries):
     engine = QueryEngine(
-        build_table(rows), config=EngineConfig(backend=backend, executor="thread")
+        build_table(rows), config=EngineConfig(backend=backend)
     )
     try:
         return engine.execute_batch(queries)
@@ -166,7 +166,7 @@ def fixed_delta_rows(n: int = 30, seed: int = 7):
     ]
 
 
-def run_append_scenario(backend, workers, strategy, executor, incremental):
+def run_append_scenario(backend, workers, incremental):
     """Warm an engine, append (adversarial delta + an empty append), requery."""
     base = fixed_base_rows()
     delta = fixed_delta_rows()
@@ -175,8 +175,6 @@ def run_append_scenario(backend, workers, strategy, executor, incremental):
     config = EngineConfig(
         backend=backend,
         num_workers=workers,
-        shard_strategy=strategy,
-        executor=executor,
         incremental=incremental,
     )
     engine = QueryEngine(table, config=config)
@@ -189,7 +187,7 @@ def run_append_scenario(backend, workers, strategy, executor, incremental):
     finally:
         engine.close()
     tolerance = 0.0 if backend in EXACT_BACKENDS else VALUE_TOLERANCE
-    tag = (backend, workers, strategy, executor, incremental)
+    tag = (backend, workers, incremental)
     assert_equivalent(
         results, rebuilt_results(base + delta, backend, queries), tolerance, tag
     )
@@ -228,17 +226,16 @@ class TestDefaultIncremental:
 
 
 class TestAppendEquivalenceThread:
-    """Every backend x strategy x worker count, thread executor."""
+    """Every backend x worker count."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("strategy", ("plan", "group", "auto"))
     @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_incremental_append_equals_rebuild(self, backend, strategy, workers):
-        run_append_scenario(backend, workers, strategy, "thread", True)
+    def test_incremental_append_equals_rebuild(self, backend, workers):
+        run_append_scenario(backend, workers, True)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_flush_append_equals_rebuild(self, backend):
-        run_append_scenario(backend, 1, "plan", "thread", False)
+        run_append_scenario(backend, 1, False)
 
     def test_repeated_appends_between_batches(self):
         base = fixed_base_rows(120, seed=3)
@@ -246,7 +243,7 @@ class TestAppendEquivalenceThread:
         table = build_table(base)
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend="numpy", executor="thread", incremental=True),
+            config=EngineConfig(backend="numpy", incremental=True),
         )
         rows = list(base)
         try:
@@ -266,20 +263,9 @@ class TestAppendEquivalenceThread:
             engine.close()
 
 
-class TestAppendEquivalenceProcess:
-    """Process executor (trimmed: the pool spin-up dominates runtime; the
-    executor seam is identical across backends, and the sqlite worker path
-    is exercised by the thread matrix plus test_sharding_equivalence)."""
-
-    @pytest.mark.parametrize("strategy", ("plan", "group"))
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_incremental_append_equals_rebuild(self, strategy, workers):
-        run_append_scenario("numpy", workers, strategy, "process", True)
-
-
 class TestRefreshCounters:
     def test_incremental_counters_book_extensions(self):
-        stats = run_append_scenario("numpy", 1, "plan", "thread", True)
+        stats = run_append_scenario("numpy", 1, True)
         assert stats["appended_rows"] == len(fixed_delta_rows())
         assert stats["masks_extended"] > 0
         assert stats["indexes_extended"] > 0
@@ -288,7 +274,7 @@ class TestRefreshCounters:
         assert stats["staleness_evictions"] > 0  # the non-additive results
 
     def test_flush_counters_book_pure_evictions(self):
-        stats = run_append_scenario("numpy", 1, "plan", "thread", False)
+        stats = run_append_scenario("numpy", 1, False)
         assert stats["appended_rows"] == len(fixed_delta_rows())
         assert stats["masks_extended"] == 0
         assert stats["indexes_extended"] == 0
@@ -300,7 +286,7 @@ class TestRefreshCounters:
         table = build_table(fixed_base_rows(60, seed=5))
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend="numpy", executor="thread", incremental=True),
+            config=EngineConfig(backend="numpy", incremental=True),
         )
         queries = query_battery()
         try:
@@ -322,7 +308,7 @@ class TestRefreshCounters:
         table = build_table(fixed_base_rows(60, seed=6))
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend="numpy", executor="thread", incremental=True),
+            config=EngineConfig(backend="numpy", incremental=True),
         )
         queries = query_battery()
         try:
@@ -340,7 +326,7 @@ class TestRefreshFieldsStatsContract:
     """Satellite: REFRESH_FIELDS follow the PR 7 gauge carry contract."""
 
     def make_stats(self) -> EngineStats:
-        stats = EngineStats(backend="numpy", workers=1, executor="thread")
+        stats = EngineStats(backend="numpy", workers=1)
         stats.bump(
             queries=4,
             appended_rows=30,
@@ -407,7 +393,7 @@ class TestAppendProperty:
         table = build_table(base)
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend="numpy", executor="thread", incremental=True),
+            config=EngineConfig(backend="numpy", incremental=True),
         )
         rows = list(base)
         try:

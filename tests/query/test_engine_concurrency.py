@@ -29,7 +29,6 @@ from repro.dataframe.table import Table
 from repro.query.backends import backend_names
 from repro.query.engine import EngineConfig, EngineStats, QueryEngine, _LRUCache
 from repro.query.query import PredicateAwareQuery
-from repro.query.sharding import EXECUTORS
 
 BACKENDS = tuple(backend_names())
 EXACT_BACKENDS = ("numpy", "python")
@@ -197,39 +196,18 @@ class TestConcurrentExecuteBatch:
         assert stats.queries == stats.result_misses
         assert stats.batches == N_THREADS * N_ROUNDS
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_concurrent_batches_with_plan_sharding(self, backend, executor):
+    def test_concurrent_batches_with_plan_sharding(self, backend):
         table = make_relevant(1)
         expected = self.expected_for(table, backend)
-        engine = QueryEngine(
-            table,
-            config=EngineConfig(
-                backend=backend, num_workers=3, shard_strategy="plan", executor=executor
-            ),
-        )
+        engine = QueryEngine(table, config=EngineConfig(backend=backend, num_workers=3))
         try:
             self.stress(engine, expected, exact=backend in EXACT_BACKENDS)
-            # Result accounting is coordinator-side in *every* executor mode,
-            # so the exactness invariant holds for process pools too.
+            # Result accounting is coordinator-side, so the exactness
+            # invariant holds with the worker pool too.
             stats = engine.stats
             total = N_THREADS * N_ROUNDS * len(make_batch())
             assert stats.result_hits + stats.result_misses == total
             assert stats.queries == stats.result_misses
-        finally:
-            engine.close()
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_concurrent_batches_with_group_sharding(self, backend, executor):
-        table = make_relevant(2)
-        expected = self.expected_for(table, backend)
-        engine = QueryEngine(
-            table,
-            config=EngineConfig(
-                backend=backend, num_workers=3, shard_strategy="group", executor=executor
-            ),
-        )
-        try:
-            self.stress(engine, expected, exact=backend in EXACT_BACKENDS)
         finally:
             engine.close()
 
@@ -260,7 +238,6 @@ class TestMemoryBudgetConcurrency:
             config=EngineConfig(
                 backend="numpy",
                 num_workers=1,
-                executor="thread",
                 memory_budget_bytes=self.BUDGET,
             ),
         )

@@ -4,8 +4,7 @@ Covers the full service contract:
 
 * **Config resolution** -- ``ServiceConfig(None)`` fields fall back to the
   ``$REPRO_SERVICE_*`` environment (empty = default, garbage fails eagerly
-  at ``validate``), mirroring the ``$REPRO_ENGINE_*`` conventions, and
-  ``FeatAugConfig`` / the CLI thread the knobs through.
+  at ``validate``), mirroring the ``$REPRO_ENGINE_*`` conventions.
 * **Admission** -- bounded queue with deterministic
   ``ServiceOverloadedError`` backpressure (nothing enqueued on reject),
   ``ServiceClosedError`` after close, empty submissions resolving
@@ -16,9 +15,9 @@ Covers the full service contract:
 * **Failure paths** -- deadline expiry mid-queue, engine errors fanned out
   to every waiting future (never a hang), cancelled futures skipped,
   draining and non-draining ``close()`` with requests in flight.
-* **Acceptance hammer** -- N threads through one service across both shard
-  strategies x both executors x every backend, bit-identical to serial
-  (1e-9 for sqlite) with counters proving cross-request fusion fired.
+* **Acceptance hammer** -- N threads through one service over a two-worker
+  engine on every backend, bit-identical to serial (1e-9 for sqlite) with
+  counters proving cross-request fusion fired.
 
 Manual mode (``auto_start=False`` + ``run_pending_round``) makes the
 round-formation tests deterministic: requests queue until the test says
@@ -31,7 +30,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.config import FeatAugConfig
 from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.backends import backend_names
@@ -53,7 +51,6 @@ from repro.query.service import (
     default_timeout_ms,
     default_window_ms,
 )
-from repro.query.sharding import EXECUTORS, SHARD_STRATEGIES
 
 BACKENDS = tuple(backend_names())
 EXACT_BACKENDS = ("numpy", "python")
@@ -190,52 +187,6 @@ class TestServiceConfig:
     def test_explicit_garbage_raises(self, kwargs):
         with pytest.raises(ValueError):
             ServiceConfig(**kwargs).validate()
-
-    def test_feataug_config_threads_the_knobs(self):
-        config = FeatAugConfig(
-            service_window_ms=3.0,
-            service_max_batch=8,
-            service_queue_depth=40,
-            service_timeout_ms=100.0,
-        )
-        config.validate()
-        service_config = config.service_config()
-        assert service_config.window_ms == 3.0
-        assert service_config.batch_limit == 8
-        assert service_config.queue_limit == 40
-        assert service_config.timeout_ms == 100.0
-
-    def test_feataug_validate_rejects_garbage_service_knobs(self):
-        with pytest.raises(ValueError):
-            FeatAugConfig(service_max_batch=0).validate()
-        with pytest.raises(ValueError, match=MAX_BATCH_ENV_VAR):
-            # Env garbage fails at config validation, not at first request.
-            import os
-
-            os.environ[MAX_BATCH_ENV_VAR] = "banana"
-            try:
-                FeatAugConfig().validate()
-            finally:
-                del os.environ[MAX_BATCH_ENV_VAR]
-
-    def test_cli_flags_reach_the_config(self):
-        from repro.cli import build_parser, _config_from_args
-
-        args = build_parser().parse_args(
-            [
-                "run", "--dataset", "student",
-                "--service-window-ms", "4.5",
-                "--service-max-batch", "32",
-                "--service-queue-depth", "64",
-                "--service-timeout-ms", "200",
-            ]
-        )
-        config = _config_from_args(args)
-        assert config.service_window_ms == 4.5
-        assert config.service_max_batch == 32
-        assert config.service_queue_depth == 64
-        assert config.service_timeout_ms == 200.0
-        assert config.service_config().batch_limit == 32
 
     def test_service_validates_config_at_construction(self):
         engine = make_engine()
@@ -586,26 +537,16 @@ class TestServiceStats:
 # Acceptance: N concurrent callers, bit-identical to serial, fusion proven
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("shard_strategy", SHARD_STRATEGIES)
-@pytest.mark.parametrize("executor", EXECUTORS)
 class TestConcurrentCallersBitIdentity:
     N_CALLERS = 4
 
-    def test_hammer_matches_serial(self, backend, shard_strategy, executor):
+    def test_hammer_matches_serial(self, backend):
         table = make_relevant(5)
         queries = make_batch()
         serial = QueryEngine(
             table, config=EngineConfig(backend=backend, num_workers=1)
         ).execute_batch(queries)
-        engine = QueryEngine(
-            table,
-            config=EngineConfig(
-                backend=backend,
-                num_workers=2,
-                shard_strategy=shard_strategy,
-                executor=executor,
-            ),
-        )
+        engine = QueryEngine(table, config=EngineConfig(backend=backend, num_workers=2))
         exact = backend in EXACT_BACKENDS
         try:
             baseline = engine.stats.as_dict()
@@ -647,10 +588,8 @@ class TestConcurrentCallersBitIdentity:
         finally:
             engine.close()
 
-    def test_live_dispatcher_hammer_matches_serial(
-        self, backend, shard_strategy, executor
-    ):
-        """Same combos through the real dispatcher thread: callers block on
+    def test_live_dispatcher_hammer_matches_serial(self, backend):
+        """Same engines through the real dispatcher thread: callers block on
         ``execute`` concurrently; whatever rounds the window forms, results
         stay bit-identical and every admitted query is accounted for."""
         table = make_relevant(6)
@@ -658,15 +597,7 @@ class TestConcurrentCallersBitIdentity:
         serial = QueryEngine(
             table, config=EngineConfig(backend=backend, num_workers=1)
         ).execute_batch(queries)
-        engine = QueryEngine(
-            table,
-            config=EngineConfig(
-                backend=backend,
-                num_workers=2,
-                shard_strategy=shard_strategy,
-                executor=executor,
-            ),
-        )
+        engine = QueryEngine(table, config=EngineConfig(backend=backend, num_workers=2))
         exact = backend in EXACT_BACKENDS
         try:
             baseline = engine.stats.as_dict()

@@ -1,31 +1,18 @@
-"""Shard-equivalence suite: serial vs sharded execution on every backend.
+"""Shard-equivalence suite: serial vs parallel execution on every backend.
 
-The quality benchmarks depend on one canonical numeric trajectory, so sharded
-execution must never perturb a result: for every registered backend, every
-shard count and both shard strategies, ``execute_batch`` must return tables
-element-wise identical to the same engine running serially
-(``num_workers=1``).  The in-process backends (numpy / python) are held to
-**bit-for-bit** identity -- group-range sharding preserves the
-accumulation-order contract because groups never straddle a range boundary
-and boolean-mask row selection keeps the original row order within every
-group.  The sqlite backend (whose per-worker instances re-materialise their
+The quality benchmarks depend on one canonical numeric trajectory, so
+parallel execution must never perturb a result: for every registered backend
+and every worker count, ``execute_batch`` must return tables element-wise
+identical to the same engine running serially (``num_workers=1``).  The
+in-process backends (numpy / python) are held to **bit-for-bit** identity --
+workers aggregate over contexts prepared once on the coordinator, and a
+heavy plan split into aggregate-spec units computes every spec from the same
+context.  The sqlite backend (whose per-worker instances re-materialise their
 own database) is held to the storage-owning value bar of ``1e-9``, exactly
 like its serial-vs-naive bar.
 
 Edge cases pinned explicitly: empty filter results (empty groups),
-single-group tables, and group counts smaller than the worker count (shards
-must degrade, never produce empty ranges or duplicate groups).
-
-The same equivalence bars hold for the **process executor**
-(``EngineConfig(executor="process")``, :mod:`repro.query.procpool`):
-workers aggregate over shared-memory views of the exact same float64 /
-object column arrays, so numpy / python stay bit-identical and sqlite keeps
-its 1e-9 bar.  The process suite additionally pins deterministic
-shared-memory cleanup: after ``QueryEngine.close()`` no segment of the
-engine's store remains in ``/dev/shm``.  The hypothesis property suite and
-the stats pins stay on the thread executor (helpers pin
-``executor="thread"`` so the CI executor matrix slot cannot flip them):
-process plan-sharding books mask / sort counters worker-side by design.
+single-group tables, and group counts smaller than the worker count.
 """
 
 import numpy as np
@@ -34,22 +21,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataframe.aggregates import AGGREGATE_FUNCTIONS
 from repro.dataframe.column import Column, DType
-from repro.dataframe.grouped_kernels import GroupedAggregator
 from repro.dataframe.table import Table
 from repro.query.backends import backend_names
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.query import PredicateAwareQuery, WindowConstraint
-from repro.query.sharding import (
-    AUTO_HEAVY_PLAN_COST,
-    GroupRangeShards,
-    SHARD_STRATEGY_ENV_VAR,
-    default_shard_strategy,
-    resolve_auto_strategy,
-    split_ranges,
-)
+from repro.query.sharding import split_ranges
 
-#: Plain aggregates plus spelled parameterized family members: group-range
-#: sharding must stay bit-identical for the new sort-based kernels too.
+#: Plain aggregates plus spelled parameterized family members: parallel
+#: execution must stay bit-identical for the sort-based kernels too.
 AGG_FUNCS = list(AGGREGATE_FUNCTIONS) + [
     "QUANTILE:0.25",
     "QUANTILE:0.5",
@@ -58,36 +37,18 @@ AGG_FUNCS = list(AGGREGATE_FUNCTIONS) + [
 BACKENDS = tuple(backend_names())
 #: In-process backends: serial and sharded results must be bit-identical.
 EXACT_BACKENDS = ("numpy", "python")
-SHARD_COUNTS = (1, 2, 3, 7)
-STRATEGIES = ("plan", "group", "auto")
+SHARD_COUNTS = (1, 2, 3, 4, 7)
 VALUE_TOLERANCE = 1e-9
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
 
-#: Worker counts exercised by the process-executor suite (kept small: every
-#: multi-worker case spins up a real process pool).
-PROCESS_WORKER_COUNTS = (1, 2, 4)
-
-
 def serial_engine(table: Table, backend: str) -> QueryEngine:
-    return QueryEngine(
-        table, config=EngineConfig(backend=backend, num_workers=1, executor="thread")
-    )
+    return QueryEngine(table, config=EngineConfig(backend=backend, num_workers=1))
 
 
-def sharded_engine(
-    table: Table, backend: str, workers: int, strategy: str, executor: str = "thread"
-) -> QueryEngine:
-    return QueryEngine(
-        table,
-        config=EngineConfig(
-            backend=backend,
-            num_workers=workers,
-            shard_strategy=strategy,
-            executor=executor,
-        ),
-    )
+def sharded_engine(table: Table, backend: str, workers: int) -> QueryEngine:
+    return QueryEngine(table, config=EngineConfig(backend=backend, num_workers=workers))
 
 
 def assert_tables_match(actual: Table, expected: Table, exact: bool) -> None:
@@ -159,7 +120,6 @@ def random_queries(draw):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
 class TestShardEquivalenceProperty:
     @given(
         table=random_tables(),
@@ -167,16 +127,15 @@ class TestShardEquivalenceProperty:
         workers=st.sampled_from(SHARD_COUNTS),
     )
     @settings(max_examples=15, deadline=None)
-    def test_sharded_batch_matches_serial(self, backend, strategy, table, queries, workers):
+    def test_sharded_batch_matches_serial(self, backend, table, queries, workers):
         expected = serial_engine(table, backend).execute_batch(queries)
-        sharded = sharded_engine(table, backend, workers, strategy)
+        sharded = sharded_engine(table, backend, workers)
         assert_batches_match(backend, sharded.execute_batch(queries), expected)
         # A second pass is served from the result cache and must match too.
         assert_batches_match(backend, sharded.execute_batch(queries), expected)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("workers", SHARD_COUNTS)
 class TestShardEquivalenceEdgeCases:
     def batch(self):
@@ -191,13 +150,13 @@ class TestShardEquivalenceEdgeCases:
                 )
         return queries
 
-    def run_both(self, table, backend, workers, strategy):
+    def run_both(self, table, backend, workers):
         queries = self.batch()
         expected = serial_engine(table, backend).execute_batch(queries)
-        actual = sharded_engine(table, backend, workers, strategy).execute_batch(queries)
+        actual = sharded_engine(table, backend, workers).execute_batch(queries)
         assert_batches_match(backend, actual, expected)
 
-    def test_empty_filter_results(self, backend, strategy, workers):
+    def test_empty_filter_results(self, backend, workers):
         rng = np.random.default_rng(0)
         table = Table(
             [
@@ -206,9 +165,9 @@ class TestShardEquivalenceEdgeCases:
                 Column("val", rng.normal(size=30), dtype=DType.NUMERIC),
             ]
         )
-        self.run_both(table, backend, workers, strategy)
+        self.run_both(table, backend, workers)
 
-    def test_single_group_table(self, backend, strategy, workers):
+    def test_single_group_table(self, backend, workers):
         table = Table(
             [
                 Column("key", [1.0] * 12, dtype=DType.NUMERIC),
@@ -216,9 +175,9 @@ class TestShardEquivalenceEdgeCases:
                 Column("val", [float(i) for i in range(12)], dtype=DType.NUMERIC),
             ]
         )
-        self.run_both(table, backend, workers, strategy)
+        self.run_both(table, backend, workers)
 
-    def test_fewer_groups_than_workers(self, backend, strategy, workers):
+    def test_fewer_groups_than_workers(self, backend, workers):
         table = Table(
             [
                 Column("key", [1.0, 2.0, 1.0, 2.0, 1.0], dtype=DType.NUMERIC),
@@ -226,121 +185,7 @@ class TestShardEquivalenceEdgeCases:
                 Column("val", [0.5, -1.5, 2.5, float("nan"), 3.5], dtype=DType.NUMERIC),
             ]
         )
-        self.run_both(table, backend, workers, strategy)
-
-
-def process_table(seed: int = 3) -> Table:
-    """NaN / None-bearing table for the process suite (numeric + categorical
-    columns cover both shared-memory transports)."""
-    rng = np.random.default_rng(seed)
-    n = 120
-    return Table(
-        [
-            Column("key", rng.integers(0, 11, size=n).astype(np.float64), dtype=DType.NUMERIC),
-            Column(
-                "cat",
-                [["x", "y", "z", None][i] for i in rng.integers(0, 4, size=n)],
-                dtype=DType.CATEGORICAL,
-            ),
-            Column(
-                "val",
-                np.where(rng.random(n) < 0.15, np.nan, rng.normal(size=n)),
-                dtype=DType.NUMERIC,
-            ),
-        ]
-    )
-
-
-def process_batch():
-    queries = []
-    for predicates in ({}, {"cat": "x"}, {"cat": "missing"}):
-        for func in ("SUM", "COUNT", "MEDIAN", "MODE", "ENTROPY", "KURTOSIS", "MAD"):
-            queries.append(
-                PredicateAwareQuery(
-                    func, "val", ("key",), dict(predicates),
-                    {k: DType.CATEGORICAL for k in predicates},
-                )
-            )
-    # Categorical aggregation attribute: exercises the code/label transport.
-    queries.append(
-        PredicateAwareQuery("MODE", "cat", ("key",), {"cat": "x"}, {"cat": DType.CATEGORICAL})
-    )
-    queries.append(PredicateAwareQuery("COUNT_DISTINCT", "cat", ("key",), {}, {}))
-    return queries
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("workers", PROCESS_WORKER_COUNTS)
-class TestProcessExecutorEquivalence:
-    """Process-pool execution vs serial: the thread suite's bars, plus
-    deterministic shared-memory cleanup on ``close()``."""
-
-    def test_matches_serial_and_releases_shm(self, backend, strategy, workers):
-        import os
-
-        table = process_table()
-        queries = process_batch()
-        expected = serial_engine(table, backend).execute_batch(queries)
-        engine = sharded_engine(table, backend, workers, strategy, executor="process")
-        assert_batches_match(backend, engine.execute_batch(queries), expected)
-        # A second pass is served from the coordinator's result cache.
-        assert_batches_match(backend, engine.execute_batch(queries), expected)
-        assert engine.stats.result_hits == len(queries)
-        store = getattr(engine.sharder, "store", None)
-        names = list(store.segment_names) if store is not None else []
-        if workers > 1 and strategy == "plan":
-            # Plan sharding with >1 worker genuinely placed the table in
-            # shared memory (group sharding may fall back serially when the
-            # backend exposes no plan context, e.g. sqlite).
-            assert names
-        engine.close()
-        engine.close()  # idempotent
-        for name in names:
-            assert not os.path.exists("/dev/shm/" + name), name
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-class TestProcessExecutorStats:
-    """Process-mode stats are deterministic: two identical runs on fresh
-    engines book identical integer counters (result-cache accounting is
-    coordinator-side, so queries / batches / result_* also match thread
-    mode; mask / sort counters are worker-side under plan sharding and are
-    simply deterministic)."""
-
-    def test_counters_deterministic_across_runs(self, strategy):
-        snapshots = []
-        for _ in range(2):
-            engine = sharded_engine(
-                process_table(), "numpy", 4, strategy, executor="process"
-            )
-            engine.execute_batch(process_batch())
-            stats = engine.stats.as_dict()
-            engine.close()
-            snapshots.append(
-                {
-                    k: v
-                    for k, v in stats.items()
-                    if isinstance(v, int) and not isinstance(v, bool)
-                }
-            )
-        assert snapshots[0] == snapshots[1]
-        assert snapshots[0]["queries"] == len(process_batch())
-
-    def test_result_accounting_matches_thread_mode(self, strategy):
-        thread_engine = sharded_engine(process_table(), "numpy", 4, strategy)
-        thread_engine.execute_batch(process_batch())
-        proc_engine = sharded_engine(
-            process_table(), "numpy", 4, strategy, executor="process"
-        )
-        proc_engine.execute_batch(process_batch())
-        names = ("queries", "batches", "batched_queries", "result_hits", "result_misses")
-        got = {name: getattr(proc_engine.stats, name) for name in names}
-        want = {name: getattr(thread_engine.stats, name) for name in names}
-        proc_engine.close()
-        assert got == want
-        assert proc_engine.stats.executor == "process"
-        assert thread_engine.stats.executor == "thread"
+        self.run_both(table, backend, workers)
 
 
 class TestSplitRanges:
@@ -363,77 +208,7 @@ class TestSplitRanges:
         assert split_ranges(0, 4) == [(0, 0)]
 
 
-class TestGroupRangeShardsBitIdentity:
-    """The group-range sharder vs the unsharded kernels, directly."""
-
-    @given(
-        n_groups=st.integers(min_value=1, max_value=12),
-        shards=st.integers(min_value=1, max_value=9),
-        data=st.data(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_all_kernels_concatenate_bit_identically(self, n_groups, shards, data):
-        n = data.draw(st.integers(min_value=0, max_value=60))
-        codes = np.asarray(
-            data.draw(st.lists(st.integers(min_value=0, max_value=n_groups - 1), min_size=n, max_size=n)),
-            dtype=np.int64,
-        )
-        values = np.asarray(
-            data.draw(
-                st.lists(
-                    st.one_of(st.just(float("nan")), finite_floats), min_size=n, max_size=n
-                )
-            ),
-            dtype=np.float64,
-        )
-        reference = GroupedAggregator(codes, values, n_groups)
-        ranges = GroupRangeShards(codes, n_groups, shards)
-        parts = [
-            GroupedAggregator(part_codes, values[rows], hi - lo)
-            for part_codes, rows, (lo, hi) in zip(ranges.codes, ranges.rows, ranges.ranges)
-        ]
-        for func in AGG_FUNCS:
-            want = reference.compute(func)
-            got = np.concatenate([part.compute(func) for part in parts])
-            assert got.shape == want.shape
-            assert np.array_equal(got, want, equal_nan=True), func
-
-
-class TestAutoStrategyChooser:
-    """``auto`` resolves deterministically from (plan count, plan cost)."""
-
-    def test_chooser_is_unit_pinned(self):
-        # Wide fused batches always go plan-level, however heavy.
-        assert resolve_auto_strategy(3, 0.0) == "plan"
-        assert resolve_auto_strategy(2, AUTO_HEAVY_PLAN_COST * 10) == "plan"
-        # A single plan goes group-range exactly at the cost threshold.
-        assert resolve_auto_strategy(1, AUTO_HEAVY_PLAN_COST) == "group"
-        assert resolve_auto_strategy(1, AUTO_HEAVY_PLAN_COST * 2) == "group"
-        assert resolve_auto_strategy(1, AUTO_HEAVY_PLAN_COST - 1.0) == "plan"
-        assert resolve_auto_strategy(1, 0.0) == "plan"
-
-    def test_default_strategy_reads_the_environment(self, monkeypatch):
-        monkeypatch.delenv(SHARD_STRATEGY_ENV_VAR, raising=False)
-        assert default_shard_strategy() == "plan"
-        monkeypatch.setenv(SHARD_STRATEGY_ENV_VAR, "   ")
-        assert default_shard_strategy() == "plan"
-        for name in ("plan", "group", "auto"):
-            monkeypatch.setenv(SHARD_STRATEGY_ENV_VAR, name)
-            assert default_shard_strategy() == name
-        monkeypatch.setenv(SHARD_STRATEGY_ENV_VAR, "rows")
-        with pytest.raises(ValueError, match="unknown shard strategy"):
-            default_shard_strategy()
-
-    def test_engine_config_resolves_the_environment_default(self, monkeypatch):
-        monkeypatch.setenv(SHARD_STRATEGY_ENV_VAR, "auto")
-        assert EngineConfig().shard_strategy_name == "auto"
-        # An explicit value always wins over the environment.
-        assert EngineConfig(shard_strategy="group").shard_strategy_name == "group"
-        with pytest.raises(ValueError):
-            EngineConfig(shard_strategy="rows")
-
-
-def auto_table(n: int, seed: int = 7) -> Table:
+def selection_table(n: int, seed: int = 7) -> Table:
     rng = np.random.default_rng(seed)
     return Table(
         [
@@ -444,51 +219,42 @@ def auto_table(n: int, seed: int = 7) -> Table:
     )
 
 
-@pytest.mark.parametrize("executor", ("thread", "process"))
-class TestAutoStrategyEngine:
-    """Engine-level pinning of the ``auto`` choice, on both executors:
-    wide batches book plan shards, a single heavy fused plan books group
-    shards, a light single plan stays fully serial -- and every path stays
-    bit-identical to serial execution."""
+class TestParallelPathSelection:
+    """A multi-worker engine has one parallel path: a batch of two or more
+    fused plans goes to the thread pool, a single fused plan of any cost
+    runs serially on the calling thread (no shard section is booked)."""
 
-    def run_auto(self, table, queries, executor):
-        expected = serial_engine(table, "numpy").execute_batch(queries)
-        engine = sharded_engine(table, "numpy", 3, "auto", executor=executor)
-        try:
-            assert_batches_match("numpy", engine.execute_batch(queries), expected)
-            return engine.stats
-        finally:
-            engine.close()
-
-    def test_wide_batch_goes_plan_level(self, executor):
-        queries = [
+    def test_wide_batch_is_pooled_and_single_plan_is_serial(self):
+        wide = [
             PredicateAwareQuery(
                 "SUM", "val", ("key",), {"cat": value}, {"cat": DType.CATEGORICAL}
             )
             for value in "xyz"
         ]
-        stats = self.run_auto(auto_table(60), queries, executor)
-        assert stats.plan_shards > 0
-        assert stats.group_shards == 0
-
-    def test_single_heavy_plan_goes_group_range(self, executor):
-        # All queries fuse into ONE plan (same predicate/keys); its cost
-        # (rows x aggregates) crosses AUTO_HEAVY_PLAN_COST, so auto flips
-        # that single plan -- parameterized kernels included -- to
-        # group-range sharding.
-        n = int(AUTO_HEAVY_PLAN_COST) // len(AGG_FUNCS) + 50
-        queries = [
-            PredicateAwareQuery(func, "val", ("key",)) for func in AGG_FUNCS
-        ]
-        stats = self.run_auto(auto_table(n), queries, executor)
-        assert stats.group_shards > 0
-        assert stats.plan_shards == 0
-
-    def test_single_light_plan_stays_serial(self, executor):
-        queries = [PredicateAwareQuery("SUM", "val", ("key",))]
-        stats = self.run_auto(auto_table(50), queries, executor)
-        assert stats.plan_shards == 0
-        assert stats.group_shards == 0
+        # All queries of one batch fuse into ONE plan (same predicate / keys);
+        # the heavy variant carries ~1.1e5 filtered-row x aggregate units.
+        light = [PredicateAwareQuery("SUM", "val", ("key",))]
+        heavy = [PredicateAwareQuery(func, "val", ("key",)) for func in AGG_FUNCS]
+        heavy_rows = 110_000 // len(AGG_FUNCS)
+        for queries, rows, pooled in (
+            (wide, 60, True),
+            (light, 50, False),
+            (heavy, heavy_rows, False),
+        ):
+            table = selection_table(rows)
+            expected = serial_engine(table, "numpy").execute_batch(queries)
+            engine = sharded_engine(table, "numpy", 3)
+            assert_batches_match("numpy", engine.execute_batch(queries), expected)
+            stats = engine.stats
+            if pooled:
+                assert stats.sharded_batches == 1
+                assert stats.plan_shards > 0
+            else:
+                assert stats.sharded_batches == 0
+                assert stats.plan_shards == 0
+                assert stats.seconds_sharding == 0.0
+                assert stats.shard_seconds == {}
+            engine.close()
 
 
 class TestShardStats:
@@ -510,7 +276,7 @@ class TestShardStats:
         ]
 
     def test_plan_sharding_books_observability_counters(self):
-        engine = sharded_engine(self.table(), "numpy", 3, "plan")
+        engine = sharded_engine(self.table(), "numpy", 3)
         engine.execute_batch(self.batch())
         stats = engine.stats
         assert stats.workers == 3
@@ -518,20 +284,10 @@ class TestShardStats:
         # Three fused plans, all dispatched; heavy plans may split into
         # aggregate-spec units, so the unit count can exceed the plan count.
         assert stats.plan_shards >= 3
-        assert stats.group_shards == 0
         assert stats.seconds_sharding > 0.0
         assert stats.shard_seconds and all(k.startswith("w") for k in stats.shard_seconds)
         assert 0.0 < stats.worker_utilisation <= 1.0
         assert stats.as_dict()["worker_utilisation"] == stats.worker_utilisation
-
-    def test_group_sharding_books_observability_counters(self):
-        engine = sharded_engine(self.table(), "numpy", 3, "group")
-        engine.execute_batch(self.batch())
-        stats = engine.stats
-        assert stats.sharded_batches == 0
-        assert stats.plan_shards == 0
-        assert stats.group_shards > 0
-        assert stats.shard_seconds and all(k.startswith("g") for k in stats.shard_seconds)
 
     def test_stats_counters_identical_serial_vs_sharded(self):
         """The determinism contract: int counters match at any worker count."""
@@ -544,7 +300,7 @@ class TestShardStats:
         )
         baselines = None
         for workers in (1, 4):
-            engine = sharded_engine(table, "numpy", workers, "plan")
+            engine = sharded_engine(table, "numpy", workers)
             engine.execute_batch(self.batch())
             engine.execute_batch(self.batch())  # second pass: result-cache hits
             counts = {name: getattr(engine.stats, name) for name in counter_names}
@@ -554,7 +310,7 @@ class TestShardStats:
                 assert counts == baselines
 
     def test_delta_since_carries_workers_and_utilisation(self):
-        engine = sharded_engine(self.table(), "numpy", 2, "plan")
+        engine = sharded_engine(self.table(), "numpy", 2)
         baseline = engine.stats.as_dict()
         engine.execute_batch(self.batch())
         delta = engine.stats.delta_since(baseline)
@@ -563,7 +319,7 @@ class TestShardStats:
         assert 0.0 <= delta["worker_utilisation"] <= 1.0
 
     def test_reset_preserves_workers_identity(self):
-        engine = sharded_engine(self.table(), "numpy", 2, "plan")
+        engine = sharded_engine(self.table(), "numpy", 2)
         engine.execute_batch(self.batch())
         engine.stats.reset()
         assert engine.stats.workers == 2
