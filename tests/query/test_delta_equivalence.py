@@ -13,7 +13,7 @@ Covered append shapes: empty appends (version bump, zero-row delta), new
 categorical labels, NaN / missing rows, rows creating brand-new groups, and
 repeated appends between query batches.  The hypothesis property generates
 the base/delta split; the fixed matrix replays one adversarial append on
-every backend x worker-count combination.
+every backend x worker-count x batch-shape combination.
 
 Also pinned here: the refresh counters (``EngineStats.REFRESH_FIELDS``)
 book deterministically -- extensions and merges in incremental mode, pure
@@ -106,6 +106,26 @@ def query_battery():
     return queries
 
 
+#: Batch shapes of the one parallel path: "single" fuses into one plan (run
+#: serially at any worker count), "wide" is the whole battery (six plans on
+#: the pool), "skewed" is the heavy no-predicate plan plus one light COUNT
+#: per other plan, so the heavy plan is split into aggregate-spec units.
+BATCH_SHAPES = ("single", "wide", "skewed")
+
+
+def shaped_battery(shape: str):
+    def heavy(query):
+        return not query.predicates and query.keys == ("user",)
+
+    battery = query_battery()
+    if shape == "single":
+        return [q for q in battery if heavy(q)]
+    if shape == "skewed":
+        return [q for q in battery if heavy(q) or q.agg_func == "COUNT"]
+    assert shape == "wide", shape
+    return battery
+
+
 def assert_tables_equal(result: Table, reference: Table, tolerance: float, tag):
     assert result.column_names == reference.column_names, tag
     for name in result.column_names:
@@ -166,12 +186,12 @@ def fixed_delta_rows(n: int = 30, seed: int = 7):
     ]
 
 
-def run_append_scenario(backend, workers, incremental):
+def run_append_scenario(backend, workers, incremental, shape="wide"):
     """Warm an engine, append (adversarial delta + an empty append), requery."""
     base = fixed_base_rows()
     delta = fixed_delta_rows()
     table = build_table(base)
-    queries = query_battery()
+    queries = shaped_battery(shape)
     config = EngineConfig(
         backend=backend,
         num_workers=workers,
@@ -187,7 +207,7 @@ def run_append_scenario(backend, workers, incremental):
     finally:
         engine.close()
     tolerance = 0.0 if backend in EXACT_BACKENDS else VALUE_TOLERANCE
-    tag = (backend, workers, incremental)
+    tag = (backend, workers, incremental, shape)
     assert_equivalent(
         results, rebuilt_results(base + delta, backend, queries), tolerance, tag
     )
@@ -226,12 +246,18 @@ class TestDefaultIncremental:
 
 
 class TestAppendEquivalenceThread:
-    """Every backend x worker count."""
+    """Every backend x worker count x batch shape."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
     @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_incremental_append_equals_rebuild(self, backend, workers):
-        run_append_scenario(backend, workers, True)
+    def test_incremental_append_equals_rebuild(self, backend, shape, workers):
+        stats = run_append_scenario(backend, workers, True, shape)
+        # The warm-up batch takes the shape's path.  The requery may not:
+        # once the append upgrades the light additive results in place, only
+        # the heavy plan is left to run, and a single plan runs serially.
+        pooled = workers > 1 and shape != "single"
+        assert (stats["sharded_batches"] > 0) == pooled
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_flush_append_equals_rebuild(self, backend):

@@ -196,10 +196,13 @@ class TestConcurrentExecuteBatch:
         assert stats.queries == stats.result_misses
         assert stats.batches == N_THREADS * N_ROUNDS
 
-    def test_concurrent_batches_with_plan_sharding(self, backend):
+    @pytest.mark.parametrize("workers", (2, 3, 4))
+    def test_concurrent_batches_with_plan_sharding(self, backend, workers):
         table = make_relevant(1)
         expected = self.expected_for(table, backend)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend, num_workers=3))
+        engine = QueryEngine(
+            table, config=EngineConfig(backend=backend, num_workers=workers)
+        )
         try:
             self.stress(engine, expected, exact=backend in EXACT_BACKENDS)
             # Result accounting is coordinator-side, so the exactness

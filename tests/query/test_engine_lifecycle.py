@@ -198,13 +198,16 @@ class TestEmptyBatch:
         assert engine.execute_plans_deduped([]) == ([], 0)
         assert engine.stats.as_dict() == before  # no counter drift at all
 
-    def test_empty_batch_is_free_sharded(self, backend):
+    @pytest.mark.parametrize("workers", (2, 4))
+    def test_empty_batch_is_free_sharded(self, backend, workers):
         engine = QueryEngine(
-            make_relevant(3), config=EngineConfig(backend=backend, num_workers=2)
+            make_relevant(3), config=EngineConfig(backend=backend, num_workers=workers)
         )
         try:
             before = engine.stats.as_dict()
             assert engine.execute_batch([]) == []
+            assert engine.execute_plans([]) == []
+            assert engine.execute_plans_deduped([]) == ([], 0)
             assert engine.stats.as_dict() == before
         finally:
             engine.close()
@@ -234,8 +237,9 @@ class TestEmptyBatch:
         assert engine._synced_version == table.version
 
 
+@pytest.mark.parametrize("workers", (2, 4))
 class TestClosedEngineReopen:
-    def test_batch_on_closed_engine_reopens_transparently(self):
+    def test_batch_on_closed_engine_reopens_transparently(self, workers):
         table = make_relevant(4)
         queries = multi_plan_batch()  # multi-plan: sharding really dispatches
         expected = QueryEngine(
@@ -243,7 +247,7 @@ class TestClosedEngineReopen:
         ).execute_batch(queries)
         engine = QueryEngine(
             table,
-            config=EngineConfig(backend="numpy", num_workers=2),
+            config=EngineConfig(backend="numpy", num_workers=workers),
         )
         try:
             assert_tables_equal(engine.execute_batch(queries), expected)
@@ -256,10 +260,10 @@ class TestClosedEngineReopen:
         finally:
             engine.close()
 
-    def test_counters_survive_a_close_reopen_cycle(self):
+    def test_counters_survive_a_close_reopen_cycle(self, workers):
         engine = QueryEngine(
             make_relevant(4),
-            config=EngineConfig(backend="numpy", num_workers=2),
+            config=EngineConfig(backend="numpy", num_workers=workers),
         )
         try:
             engine.execute_batch(small_batch())
@@ -275,10 +279,10 @@ class TestClosedEngineReopen:
         finally:
             engine.close()
 
-    def test_single_query_reopens_too(self):
+    def test_single_query_reopens_too(self, workers):
         engine = QueryEngine(
             make_relevant(4),
-            config=EngineConfig(backend="numpy", num_workers=2),
+            config=EngineConfig(backend="numpy", num_workers=workers),
         )
         try:
             query = small_batch()[0]

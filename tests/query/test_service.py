@@ -15,9 +15,9 @@ Covers the full service contract:
 * **Failure paths** -- deadline expiry mid-queue, engine errors fanned out
   to every waiting future (never a hang), cancelled futures skipped,
   draining and non-draining ``close()`` with requests in flight.
-* **Acceptance hammer** -- N threads through one service over a two-worker
-  engine on every backend, bit-identical to serial (1e-9 for sqlite) with
-  counters proving cross-request fusion fired.
+* **Acceptance hammer** -- N threads through one service over a serial, a
+  two-worker and a four-worker engine on every backend, bit-identical to
+  serial (1e-9 for sqlite) with counters proving cross-request fusion fired.
 
 Manual mode (``auto_start=False`` + ``run_pending_round``) makes the
 round-formation tests deterministic: requests queue until the test says
@@ -537,16 +537,19 @@ class TestServiceStats:
 # Acceptance: N concurrent callers, bit-identical to serial, fusion proven
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("workers", (1, 2, 4))
 class TestConcurrentCallersBitIdentity:
     N_CALLERS = 4
 
-    def test_hammer_matches_serial(self, backend):
+    def test_hammer_matches_serial(self, backend, workers):
         table = make_relevant(5)
         queries = make_batch()
         serial = QueryEngine(
             table, config=EngineConfig(backend=backend, num_workers=1)
         ).execute_batch(queries)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend, num_workers=2))
+        engine = QueryEngine(
+            table, config=EngineConfig(backend=backend, num_workers=workers)
+        )
         exact = backend in EXACT_BACKENDS
         try:
             baseline = engine.stats.as_dict()
@@ -588,7 +591,7 @@ class TestConcurrentCallersBitIdentity:
         finally:
             engine.close()
 
-    def test_live_dispatcher_hammer_matches_serial(self, backend):
+    def test_live_dispatcher_hammer_matches_serial(self, backend, workers):
         """Same engines through the real dispatcher thread: callers block on
         ``execute`` concurrently; whatever rounds the window forms, results
         stay bit-identical and every admitted query is accounted for."""
@@ -597,7 +600,9 @@ class TestConcurrentCallersBitIdentity:
         serial = QueryEngine(
             table, config=EngineConfig(backend=backend, num_workers=1)
         ).execute_batch(queries)
-        engine = QueryEngine(table, config=EngineConfig(backend=backend, num_workers=2))
+        engine = QueryEngine(
+            table, config=EngineConfig(backend=backend, num_workers=workers)
+        )
         exact = backend in EXACT_BACKENDS
         try:
             baseline = engine.stats.as_dict()
