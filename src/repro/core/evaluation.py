@@ -3,7 +3,7 @@
 The evaluator is constructed once per search with the training/validation
 split, the label and the base feature columns.  The base design matrices are
 vectorised and cached; scoring a candidate query then only requires executing
-the query, joining its feature onto both splits and retraining the (cloned)
+the query, gathering its feature onto both splits and retraining the (cloned)
 downstream model with one extra column.  The returned *loss* is minimised by
 the search:
 
@@ -15,7 +15,7 @@ the search:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.dataframe.table import Table
 from repro.ml.base import BaseEstimator, is_classifier
 from repro.ml.metrics import f1_score_macro, rmse, roc_auc_score
 from repro.ml.preprocessing import LabelEncoder, TableVectorizer
-from repro.query.augment import augment_training_table
+from repro.query.augment import gather_features
 from repro.query.engine import QueryEngine, resolve_engine
 from repro.query.query import PredicateAwareQuery
 
@@ -125,28 +125,22 @@ class ModelEvaluator:
         relevant_table: Table | None = None,
         engine: QueryEngine | None = None,
     ):
-        """Batched variant: one engine pass, then per-query train/valid joins.
+        """Batched variant: one engine pass, then per-query train/valid gathers.
 
         Queries execute through the engine's configured execution backend
         (the vectorized grouped kernels by default; see
-        :mod:`repro.query.backends`), and the feature joins go through the
-        vectorized ``Table.left_join`` key matching (factorized codes +
-        first-occurrence index map), so neither phase loops over rows in
-        Python.
+        :mod:`repro.query.backends`).  Each feature is then gathered onto the
+        train and valid rows through the engine's group ids
+        (:func:`~repro.query.augment.gather_features`): the two splits are
+        mapped to group ids once per search, so a candidate costs one lookup
+        of its result rows and two array gathers, with the values of the
+        ``LEFT JOIN`` in Definition 3.
         """
+        queries = list(queries)
         resolved = self._resolve_engine(relevant_table, engine)
-        feature_tables = resolved.execute_batch(list(queries))
-        train_vecs: List[np.ndarray] = []
-        valid_vecs: List[np.ndarray] = []
-        for query, feature_table in zip(queries, feature_tables):
-            train_aug = augment_training_table(
-                self._train_table, feature_table, query.keys, query.feature_name, "__candidate__"
-            )
-            valid_aug = augment_training_table(
-                self._valid_table, feature_table, query.keys, query.feature_name, "__candidate__"
-            )
-            train_vecs.append(train_aug.column("__candidate__").values)
-            valid_vecs.append(valid_aug.column("__candidate__").values)
+        feature_tables = resolved.execute_batch(queries)
+        train_vecs = gather_features(resolved, self._train_table, queries, feature_tables)
+        valid_vecs = gather_features(resolved, self._valid_table, queries, feature_tables)
         return train_vecs, valid_vecs
 
     # ------------------------------------------------------------------

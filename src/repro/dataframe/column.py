@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -137,6 +137,39 @@ def infer_dtype(values: Sequence) -> DType:
     return DType.CATEGORICAL
 
 
+def hash_codes(values) -> Tuple[np.ndarray, List]:
+    """Code hashable values by first appearance with one dictionary pass.
+
+    Returns ``(codes, labels)``: one ``int64`` code per value and
+    ``labels[code]``, the first value seen with that code.  Values that
+    compare and hash equal (``1``, ``1.0``, ``True``) share a code, and
+    ``None`` is a label like any other.  This is the single coder for object
+    keys: grouping, join-key matching, distinct values and value counts.
+    """
+    mapping: Dict[object, int] = {}
+    codes = np.fromiter(
+        (mapping.setdefault(v, len(mapping)) for v in values),
+        dtype=np.int64,
+        count=len(values),
+    )
+    return codes, list(mapping)
+
+
+def key_objects(column: "Column") -> np.ndarray:
+    """The column's values as normalised key objects.
+
+    Numeric-like values become Python ``float``s with ``None`` for NaN;
+    categorical values are returned as stored (``None`` marks a missing
+    value).  Keys normalised this way match across dtypes exactly when the
+    values compare equal, and every missing value matches every other.
+    """
+    if not column.is_numeric_like:
+        return column.values
+    out = column.values.astype(object)
+    out[np.isnan(column.values)] = None
+    return out
+
+
 class Column:
     """A named, typed, immutable-by-convention column of values."""
 
@@ -217,17 +250,8 @@ class Column:
 
     def unique(self) -> list:
         """Distinct non-missing values (order of first appearance)."""
-        seen = []
-        seen_set = set()
-        missing = self.is_missing()
-        for v, is_na in zip(self.values, missing):
-            if is_na:
-                continue
-            key = float(v) if self.is_numeric_like else v
-            if key not in seen_set:
-                seen_set.add(key)
-                seen.append(key)
-        return seen
+        _, labels = hash_codes(key_objects(self))
+        return [v for v in labels if v is not None]
 
     def min(self):
         if not self.is_numeric_like:

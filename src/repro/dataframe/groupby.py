@@ -18,7 +18,7 @@ from repro.dataframe.aggregates import (
     parse_aggregate_name,
     resolve_aggregate,
 )
-from repro.dataframe.column import Column, DType
+from repro.dataframe.column import Column, DType, hash_codes
 from repro.dataframe.table import Table
 
 
@@ -29,7 +29,8 @@ def factorize_column(column: Column) -> Tuple[np.ndarray, List]:
     row and ``labels[code]`` is the normalised key value: ``float`` for
     numeric-like columns, the raw value for categoricals, and ``None`` for
     missing entries (NaN / None), matching the key normalisation of the
-    row-at-a-time grouping this replaces.
+    row-at-a-time grouping this replaces.  Numeric codes follow value
+    order; categorical codes follow first appearance (:func:`hash_codes`).
     """
     if column.is_numeric_like:
         values = column.values
@@ -41,29 +42,7 @@ def factorize_column(column: Column) -> Tuple[np.ndarray, List]:
             codes[missing] = uniques.size
             labels.append(None)
         return codes, labels
-    values = column.values
-    missing = np.asarray([v is None for v in values], dtype=bool)
-    try:
-        uniques, inverse = np.unique(values[~missing], return_inverse=True)
-    except TypeError:
-        # Values of mixed, mutually unorderable types: dictionary coding.
-        mapping: Dict[object, int] = {}
-        codes = np.empty(len(values), dtype=np.int64)
-        labels = []
-        for i, v in enumerate(values):
-            key = None if v is None else v
-            if key not in mapping:
-                mapping[key] = len(labels)
-                labels.append(key)
-            codes[i] = mapping[key]
-        return codes, labels
-    codes = np.empty(len(values), dtype=np.int64)
-    codes[~missing] = inverse
-    labels = list(uniques)
-    if missing.any():
-        codes[missing] = uniques.size
-        labels.append(None)
-    return codes, labels
+    return hash_codes(column.values)
 
 
 def renumber_codes_compact(

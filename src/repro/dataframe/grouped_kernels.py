@@ -343,7 +343,9 @@ class GroupedAggregator:
             if even.any():
                 lo, hi = med[even], svals[(s + c // 2)[even]]
                 med[even] = (lo + hi) / 2.0
-            result[ne] = med
+            # np.median never returns -0.0 (its mean starts from +0.0);
+            # adding +0.0 maps -0.0 to 0.0 and leaves every other value as is.
+            result[ne] = med + 0.0
         return result
 
     def _group_medians(self) -> np.ndarray:

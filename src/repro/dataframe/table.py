@@ -6,7 +6,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.dataframe.column import Column, DType
+from repro.dataframe.column import Column, DType, hash_codes, key_objects
 
 
 class Table:
@@ -199,12 +199,15 @@ class Table:
         so this is only a safety net).  Rows without a match get missing
         values in the joined columns.
 
-        Key matching is vectorized: both sides are factorized into one shared
-        integer code space per key column (missing values -- NaN or ``None``
-        -- share a code, so NaN keys join to NaN keys exactly like the
-        historical per-row dictionary probe), multi-column keys are combined
-        arithmetically, and a first-occurrence index array over the right
-        codes replaces the per-row hash lookups.
+        Both sides are coded into one shared integer code space per key
+        column (:func:`_join_key_codes`; missing values -- NaN or ``None`` --
+        share a code, so NaN keys join to NaN keys), multi-column keys are
+        combined arithmetically, and a first-occurrence index array over the
+        right codes gives each left row its match.
+
+        This is the reference semantics of Definition 3.  Features the query
+        engine produces skip the join: :mod:`repro.query.augment` gathers
+        them through the engine's group ids, with the same result.
         """
         if isinstance(on, str):
             on = [on]
@@ -318,22 +321,15 @@ class Table:
         return Table.from_dict(data, dtypes=self.schema())
 
 
-def _normalise_key(value, column: Column):
-    """Normalise a join key value so float/int representations hash alike."""
-    if column.is_numeric_like:
-        v = float(value)
-        if np.isnan(v):
-            return None
-        return v
-    return value
-
-
 def _join_key_codes(left: Column, right: Column) -> tuple:
     """Factorize one join-key column jointly across both tables.
 
     Returns ``(left_codes, right_codes, n_labels)``: ``int64`` codes into one
     shared label space.  All missing values (NaN / ``None``) share a single
-    code, mirroring :func:`_normalise_key` (NaN keys join to NaN keys).
+    code, so NaN keys join to NaN keys.  Numeric keys on both sides are coded
+    by value with ``np.unique``; any other pair is coded by hashing its
+    :func:`~repro.dataframe.column.key_objects` (numeric values as ``float``,
+    so ``1`` and ``1.0`` match and ``"1"`` does not).
     """
     n_left = len(left)
     if left.is_numeric_like and right.is_numeric_like:
@@ -343,33 +339,8 @@ def _join_key_codes(left: Column, right: Column) -> tuple:
         codes = np.searchsorted(uniques, values).astype(np.int64)
         codes[missing] = uniques.size
         return codes[:n_left], codes[n_left:], uniques.size + 1
-
-    def as_objects(column: Column) -> np.ndarray:
-        if not column.is_numeric_like:
-            return column.values
-        out = np.empty(len(column), dtype=object)
-        for i, v in enumerate(column.values):
-            out[i] = None if np.isnan(v) else float(v)
-        return out
-
-    values = np.concatenate([as_objects(left), as_objects(right)])
-    missing = np.asarray([v is None for v in values], dtype=bool)
-    codes = np.empty(values.shape[0], dtype=np.int64)
-    try:
-        uniques, inverse = np.unique(values[~missing], return_inverse=True)
-        codes[~missing] = inverse
-        codes[missing] = uniques.size
-        n_labels = uniques.size + 1
-    except TypeError:
-        # Values of mixed, mutually unorderable types: dictionary coding.
-        mapping: Dict[object, int] = {}
-        for i, v in enumerate(values):
-            key = None if missing[i] else v
-            if key not in mapping:
-                mapping[key] = len(mapping)
-            codes[i] = mapping[key]
-        n_labels = len(mapping)
-    return codes[:n_left], codes[n_left:], n_labels
+    codes, labels = hash_codes(np.concatenate([key_objects(left), key_objects(right)]))
+    return codes[:n_left], codes[n_left:], len(labels)
 
 
 def _join_match(left: "Table", right: "Table", on: Sequence[str]) -> np.ndarray:

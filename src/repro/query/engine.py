@@ -76,7 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dataframe.aggregates import column_to_aggregable
-from repro.dataframe.column import Column, DType
+from repro.dataframe.column import Column, DType, key_objects
 from repro.dataframe.groupby import (
     factorize_key_codes,
     group_positions_from_codes,
@@ -777,6 +777,56 @@ class GroupIndex:
                 array = np.empty(self.n_groups, dtype=object)
                 array[:] = labels
             self._key_arrays.append((name, source.dtype, source.is_numeric_like, array))
+        #: Guards the key -> id map, the per-table id memo and extensions.
+        self._lock = threading.Lock()
+        #: ``{normalised key tuple: group id}``, built on first use.
+        self._key_ids: Optional[Dict[tuple, int]] = None
+        #: ``table -> (table version, n_groups probed, group id per row)``.
+        self._ids_memo: "weakref.WeakKeyDictionary[Table, Tuple[int, int, np.ndarray]]" = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def _key_id_map(self) -> Dict[tuple, int]:
+        if self._key_ids is None:
+            self._key_ids = {key: gid for gid, key in enumerate(self.group_keys)}
+        return self._key_ids
+
+    def _probe(self, table: Table, rows: Optional[np.ndarray]) -> np.ndarray:
+        columns = [key_objects(table.column(name)) for name in self.keys]
+        if rows is not None:
+            columns = [values[rows] for values in columns]
+        get = self._key_id_map().get
+        return np.fromiter(
+            (get(key, -1) for key in zip(*columns)),
+            dtype=np.int64,
+            count=len(columns[0]),
+        )
+
+    def ids_of(self, table: Table) -> np.ndarray:
+        """The group id of every row of *table*; -1 where the key is unseen.
+
+        *table* is any table with the key columns: a training table, a batch
+        of entities or a query result.  Keys are normalised the way
+        ``Table.left_join`` matches them (numeric values as ``float``,
+        missing values as ``None``), so two rows of any two tables get the
+        same id exactly when they would join.  The ids are memoised per table
+        and checked against ``table.version``; callers must not mutate the
+        returned array.  Group ids are prefix-stable under :meth:`extend`, so
+        a memo survives an extension and only its -1 rows are probed again.
+        """
+        with self._lock:
+            memo = self._ids_memo.get(table)
+            if memo is None or memo[0] != table.version:
+                ids = self._probe(table, None)
+            elif memo[1] == self.n_groups:
+                return memo[2]
+            else:
+                ids = memo[2].copy()
+                unseen = np.flatnonzero(ids < 0)
+                if unseen.size:
+                    ids[unseen] = self._probe(table, unseen)
+            self._ids_memo[table] = (table.version, self.n_groups, ids)
+            return ids
 
     def key_columns(self, group_ids: Optional[np.ndarray] = None) -> List[Column]:
         """Output key columns for the given groups (all groups when ``None``)."""
@@ -795,7 +845,9 @@ class GroupIndex:
         full rebuild over the extended table would assign, because
         first-appearance numbering is prefix-stable.  Codes are extended,
         never reshuffled, so cached compact renumberings and sort orders
-        derived from the old codes stay valid prefixes.  Returns ``False``
+        derived from the old codes stay valid prefixes, and so do the
+        :meth:`ids_of` memos.  Delta keys are looked up in, and new keys
+        added to, the index's persistent key -> id map.  Returns ``False``
         when the delta's key labels are unhashable (the caller drops the
         index and rebuilds lazily instead).
         """
@@ -812,22 +864,22 @@ class GroupIndex:
                 for name in self.keys
             ]
         )
-        d_codes, d_group_keys, d_group_rows = factorize_key_codes(delta, self.keys)
         try:
-            key_to_code = {key: i for i, key in enumerate(self.group_keys)}
-            mapping = np.empty(len(d_group_keys), dtype=np.int64)
-            next_code = self.n_groups
-            new_keys: List[tuple] = []
-            for local, key in enumerate(d_group_keys):
-                code = key_to_code.get(key)
-                if code is None:
-                    code = next_code
-                    next_code += 1
-                    key_to_code[key] = code
-                    new_keys.append(key)
-                mapping[local] = code
+            d_codes, d_group_keys, d_group_rows = factorize_key_codes(delta, self.keys)
+            with self._lock:
+                key_to_code = self._key_id_map()
+                known = [key_to_code.get(key) for key in d_group_keys]
         except TypeError:
             return False
+        mapping = np.empty(len(d_group_keys), dtype=np.int64)
+        next_code = self.n_groups
+        new_keys: List[tuple] = []
+        for local, (key, code) in enumerate(zip(d_group_keys, known)):
+            if code is None:
+                code = next_code
+                next_code += 1
+                new_keys.append(key)
+            mapping[local] = code
         group_rows = list(self.group_rows)
         group_rows.extend([None] * (next_code - self.n_groups))  # type: ignore[list-item]
         for local, rows in enumerate(d_group_rows):
@@ -837,10 +889,12 @@ class GroupIndex:
                 group_rows[code] = np.concatenate([group_rows[code], shifted])
             else:
                 group_rows[code] = shifted
-        self.codes = np.concatenate([self.codes, mapping[d_codes]])
-        self.group_rows = group_rows
-        self.group_keys = list(self.group_keys) + new_keys
-        self.n_groups = next_code
+        with self._lock:
+            key_to_code.update(zip(new_keys, range(self.n_groups, next_code)))
+            self.codes = np.concatenate([self.codes, mapping[d_codes]])
+            self.group_rows = group_rows
+            self.group_keys = list(self.group_keys) + new_keys
+            self.n_groups = next_code
         key_arrays: List[Tuple[str, DType, bool, np.ndarray]] = []
         for position, (name, dtype, numeric, array) in enumerate(self._key_arrays):
             labels = [key[position] for key in new_keys]

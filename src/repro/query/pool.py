@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataframe.column import DType
+from repro.dataframe.column import DType, hash_codes
 from repro.dataframe.table import Table
 from repro.hpo.space import CategoricalDimension, RealDimension, SearchSpace
 from repro.query.query import PredicateAwareQuery, WindowConstraint
@@ -122,12 +122,13 @@ class QueryPool:
         """
         values = list(self._categorical_seen[attr])
         if len(values) > MAX_CATEGORICAL_VALUES:
-            counts: Dict[object, int] = {}
-            for v in column.values:
-                if v is None:
-                    continue
-                counts[v] = counts.get(v, 0) + 1
-            values = sorted(counts, key=lambda v: -counts[v])[:MAX_CATEGORICAL_VALUES]
+            codes, labels = hash_codes(column.values)
+            counts = np.bincount(codes, minlength=len(labels))
+            # Labels are in first-appearance order; ``None`` occurs at most
+            # once, so one spare slot covers dropping it.
+            top = np.argsort(-counts, kind="stable")[: MAX_CATEGORICAL_VALUES + 1]
+            values = [labels[i] for i in top if labels[i] is not None]
+            values = values[:MAX_CATEGORICAL_VALUES]
         return values
 
     @staticmethod

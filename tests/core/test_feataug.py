@@ -127,8 +127,11 @@ class TestFeatAugFacade:
             label=bundle.label_col, keys=bundle.keys, task=bundle.task, model="LR",
             config=fast_config.with_overrides(engine_backend="python"),
         )
+        # Engines are shared per relevant-table object: a copy gets a cold
+        # engine, so the run executes queries instead of serving every one
+        # from a result cache an earlier test warmed on the same backend.
         result = feataug.augment(
-            bundle.train, bundle.relevant,
+            bundle.train, bundle.relevant.copy(),
             predicate_attrs=["event_type"], agg_attrs=bundle.agg_attrs, n_features=1,
         )
         assert result.engine_stats["backend"] == "python"

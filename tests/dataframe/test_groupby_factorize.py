@@ -121,7 +121,8 @@ class TestNormalisation:
         assert list(groups[(None,)]) == [1, 3]
 
     def test_mixed_type_categorical_values_fall_back(self):
-        """Unorderable object mixes (str vs int) cannot use np.unique sorting."""
+        """Unorderable object mixes (str vs int) group like any other labels:
+        the hash coder needs no ordering, so there is no fallback path left."""
         table = Table(
             [
                 Column("k", ["a", 1, "a", 2, None], dtype=DType.CATEGORICAL),

@@ -334,6 +334,14 @@ class TestEdgeCaseSemantics:
         values = np.asarray([1.0, 9.0, 3.0, 5.0])
         assert grouped_aggregate("MEDIAN", codes, values, 1)[0] == np.median(values)
 
+    def test_median_of_negative_zeros_is_positive_zero_like_numpy(self):
+        codes = np.asarray([0, 1, 1, 2, 2, 2], dtype=np.int64)
+        values = np.asarray([-0.0, -0.0, -0.0, -0.0, np.nan, -0.0])
+        got = grouped_aggregate("MEDIAN", codes, values, 3)
+        want = reference("MEDIAN", codes, values, 3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert not np.signbit(got).any()
+
     def test_counts_property_exposed(self):
         agg = GroupedAggregator(
             np.asarray([0, 0, 2], dtype=np.int64), np.asarray([1.0, np.nan, 2.0]), 3

@@ -1,13 +1,15 @@
 """Edge-case and equivalence tests for the vectorized ``Table.left_join``.
 
-The join used to probe a Python dict per left row; it now factorizes both
-sides into a shared code space and gathers through a first-occurrence index
-array.  These tests pin the observable semantics across the rewrite:
+``left_join`` codes both sides into a shared code space per key column
+(numeric pairs by value, any other pair by hashing the normalised key
+objects) and gathers through a first-occurrence index array.  It is the
+reference semantics of Definition 3 that the engine's gathered features are
+held to (``tests/query/test_gather_equivalence.py``).  These tests pin:
 
 * duplicate keys on the right side -- the **first** matching row wins,
 * keys missing from the right table -- NaN / ``None`` fills,
 * NaN (numeric) and ``None`` (categorical) join keys match each other's
-  missing keys, exactly like the historical ``_normalise_key`` probe,
+  missing keys, like a per-row dictionary probe on normalised keys,
 * column-name collisions get the suffix,
 * and a hypothesis property compares the vectorized join element-wise
   against a row-at-a-time dictionary reference implementation.

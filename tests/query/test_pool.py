@@ -335,6 +335,28 @@ class TestRefresh:
         assert len(pool.domain_of("pname")) == MAX_CATEGORICAL_VALUES
         assert pool.domain_of("pname") == fresh.domain_of("pname")
 
+    def test_over_cap_frequency_ties_keep_first_appearance_order(self, logs_table):
+        from repro.query.pool import MAX_CATEGORICAL_VALUES
+
+        wide = QueryTemplate(["SUM"], ["pprice"], ["pname"], ["cname"])
+        pool = QueryPool(wide, logs_table)
+        # Mostly one-row products, so the cut falls inside a frequency tie;
+        # a late product and the missing value appear more often.
+        for i in range(2 * MAX_CATEGORICAL_VALUES):
+            self.append(logs_table, pname=f"p{i}")
+        for _ in range(3):
+            self.append(logs_table, pname=None)
+            self.append(logs_table, pname=f"p{2 * MAX_CATEGORICAL_VALUES - 1}")
+        pool.refresh(logs_table)
+        fresh = QueryPool(wide, logs_table)
+        counts = {}
+        for v in logs_table.column("pname").values:
+            if v is not None:
+                counts[v] = counts.get(v, 0) + 1
+        expected = sorted(counts, key=lambda v: -counts[v])[:MAX_CATEGORICAL_VALUES]
+        assert fresh.domain_of("pname") == expected
+        assert pool.domain_of("pname") == expected
+
     def test_incremental_refreshes_equal_one_shot_refresh(self, template, logs_table):
         stepwise = QueryPool(template, logs_table, relation_name="User_Logs")
         for dept, ts in [("garden", "2024-03-01"), ("toys", "2020-06-15")]:
