@@ -153,20 +153,30 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_augment(args: argparse.Namespace) -> int:
+def _command_augment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     keys = [k.strip() for k in args.keys.split(",") if k.strip()]
-    train = read_csv(args.train, dtypes={k: "categorical" for k in keys})
-    relevant = read_csv(args.relevant, dtypes={k: "categorical" for k in keys})
     candidate_attrs = (
         [a.strip() for a in args.candidate_attrs.split(",") if a.strip()]
         if args.candidate_attrs
-        else [c for c in relevant.column_names if c not in keys]
+        else None
     )
     agg_attrs = (
         [a.strip() for a in args.agg_attrs.split(",") if a.strip()] if args.agg_attrs else None
     )
-    config = _config_from_args(args)
-    feataug = FeatAug(label=args.label, keys=keys, task=args.task, model=args.model, config=config)
+    # Unreadable CSVs, bad settings and missing input columns are usage
+    # errors: one line and exit code 2, not a traceback from the search.
+    try:
+        train = read_csv(args.train, dtypes={k: "categorical" for k in keys})
+        relevant = read_csv(args.relevant, dtypes={k: "categorical" for k in keys})
+        if candidate_attrs is None:
+            candidate_attrs = [c for c in relevant.column_names if c not in keys]
+        feataug = FeatAug(
+            label=args.label, keys=keys, task=args.task, model=args.model,
+            config=_config_from_args(args),
+        )
+        feataug.check_columns(train, relevant, candidate_attrs, agg_attrs=agg_attrs)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     result = feataug.augment(
         train, relevant,
         candidate_attrs=candidate_attrs, agg_attrs=agg_attrs, n_features=args.n_features,
@@ -187,7 +197,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _command_datasets(args)
     if args.command == "run":
         return _command_run(args)
-    return _command_augment(args)
+    return _command_augment(args, parser)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in examples

@@ -151,6 +151,9 @@ class FeatAug:
             Total number of features to generate; defaults to
             ``n_templates * queries_per_template``.
         """
+        self.check_columns(
+            train_table, relevant_table, candidate_attrs, predicate_attrs, agg_attrs
+        )
         proxy = make_proxy(self.config.proxy)
         # One shared execution engine for the whole run: template search, SQL
         # generation and final materialisation all hit the same group index
@@ -235,6 +238,38 @@ class FeatAug:
             generate_seconds=generate_seconds,
             engine_stats=engine.stats.delta_since(stats_baseline),
         )
+
+    def check_columns(
+        self,
+        train_table: Table,
+        relevant_table: Table,
+        candidate_attrs: Sequence[str] | None = None,
+        predicate_attrs: Sequence[str] | None = None,
+        agg_attrs: Sequence[str] | None = None,
+    ) -> None:
+        """Raise ``ValueError`` naming the table and the column if a column
+        the run refers to is missing: the join keys from either table, the
+        label from the training table, or a candidate / predicate /
+        aggregation attribute from the relevant table.
+
+        :meth:`augment` runs this before it builds any engine or pool, so
+        bad input fails here instead of deep inside the search.
+        """
+        wanted = [
+            ("train", train_table, "join key", self.keys),
+            ("train", train_table, "label", [self.label]),
+            ("relevant", relevant_table, "join key", self.keys),
+            ("relevant", relevant_table, "candidate attribute", candidate_attrs or ()),
+            ("relevant", relevant_table, "predicate attribute", predicate_attrs or ()),
+            ("relevant", relevant_table, "aggregation attribute", agg_attrs or ()),
+        ]
+        for table_name, table, role, columns in wanted:
+            for column in columns:
+                if column not in table:
+                    raise ValueError(
+                        f"{role} {column!r} is not a column of the {table_name} "
+                        f"table (columns: {', '.join(table.column_names)})"
+                    )
 
     # ------------------------------------------------------------------
     def _default_agg_attrs(self, relevant_table: Table) -> List[str]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -52,7 +52,9 @@ def read_csv(path: str | Path, dtypes: Dict[str, DType | str] | None = None) -> 
     """Read a CSV file into a :class:`Table`, inferring dtypes per column.
 
     ``dtypes`` can force specific columns to a dtype (e.g. treat an integer id
-    column as categorical).
+    column as categorical).  A data row shorter than the header is padded
+    with missing values (a blank line reads as one missing row); a row with
+    more fields than the header raises ``ValueError`` naming its line.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -61,6 +63,11 @@ def read_csv(path: str | Path, dtypes: Dict[str, DType | str] | None = None) -> 
     if not rows:
         return Table([])
     header, data_rows = rows[0], rows[1:]
+    if data_rows and max(map(len, data_rows)) > len(header):
+        line, fields = _first_overlong_row(path, len(header))
+        raise ValueError(
+            f"{path}: line {line} has {fields} fields but the header has {len(header)}"
+        )
     columns: List[Column] = []
     forced = {k: DType(v) for k, v in (dtypes or {}).items()}
     for j, name in enumerate(header):
@@ -80,6 +87,24 @@ def read_csv(path: str | Path, dtypes: Dict[str, DType | str] | None = None) -> 
         else:
             columns.append(_infer_column(name, raw))
     return Table(columns)
+
+
+def _first_overlong_row(path: Path, width: int) -> Tuple[int, int]:
+    """``(1-based line, field count)`` of the first data row of *path* with
+    more than *width* fields.
+
+    Re-reads the file: the fast path of :func:`read_csv` does not track line
+    numbers, and a quoted field may span several physical lines.
+    """
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        line = reader.line_num + 1
+        for row in reader:
+            if len(row) > width:
+                break
+            line = reader.line_num + 1
+    return line, len(row)
 
 
 def write_csv(table: Table, path: str | Path) -> None:

@@ -23,14 +23,6 @@ Implements the paper's core abstractions (Section III):
   parallel path: with ``EngineConfig(num_workers > 1)`` a batch of two or
   more fused plans is partitioned across a thread pool of per-worker
   backend instances, bit-identical to serial execution.
-* :class:`QueryService` (:mod:`repro.query.service`) -- the admission layer
-  over one warm engine: concurrent callers' submissions queue behind a
-  bounded admission queue (deterministic :class:`ServiceOverloadedError`
-  backpressure), coalesce under a micro-batch window into one fused round
-  with cross-request plan dedup, and resolve per-caller futures with
-  results bit-identical to serial execution; per-request deadlines and a
-  draining ``close()`` round out the service contract
-  (:class:`ServiceConfig`, ``$REPRO_SERVICE_*``).
 * :func:`execute_query` / :func:`augment_training_table` -- the relational
   plumbing (filter -> group-by aggregate -> left join onto the training
   table); :func:`execute_query_naive` is the uncached reference
@@ -57,18 +49,6 @@ from repro.query.engine import (
     resolve_engine,
 )
 from repro.query.sharding import ShardScheduler, default_worker_count, split_ranges
-from repro.query.service import (
-    DeadlineExpiredError,
-    QueryService,
-    ServiceClosedError,
-    ServiceConfig,
-    ServiceError,
-    ServiceOverloadedError,
-    default_max_batch,
-    default_queue_depth,
-    default_timeout_ms,
-    default_window_ms,
-)
 from repro.query.executor import execute_query, execute_query_naive
 from repro.query.augment import augment_training_table, apply_queries
 from repro.query.multi_table import (
@@ -100,16 +80,6 @@ __all__ = [
     "ShardScheduler",
     "default_worker_count",
     "split_ranges",
-    "QueryService",
-    "ServiceConfig",
-    "ServiceError",
-    "ServiceClosedError",
-    "ServiceOverloadedError",
-    "DeadlineExpiredError",
-    "default_window_ms",
-    "default_max_batch",
-    "default_queue_depth",
-    "default_timeout_ms",
     "execute_query",
     "execute_query_naive",
     "augment_training_table",

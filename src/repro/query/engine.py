@@ -331,25 +331,6 @@ class EngineStats:
     #: orders, ...); with ``incremental`` off, every entry flushed by a
     #: version bump books here.
     staleness_evictions: int = 0
-    #: Queries admitted into a :class:`repro.query.service.QueryService`
-    #: queue wrapping this engine.  This and the five counters below are
-    #: ordinary lifetime counters: zeroed by :meth:`reset`, subtracted by
-    #: :meth:`delta_since`.
-    service_admitted: int = 0
-    #: Queries rejected at admission because the service queue was full
-    #: (deterministic backpressure, never a silent drop).
-    service_rejected: int = 0
-    #: Queries whose deadline expired while they waited in the service
-    #: queue (their futures resolve with ``DeadlineExpiredError``).
-    service_timeouts: int = 0
-    #: Fused micro-batch rounds the service dispatched to the engine.
-    service_rounds: int = 0
-    #: Queries executed in a round shared by two or more requests -- the
-    #: cross-request fusion the admission layer exists for.
-    service_coalesced: int = 0
-    #: Queries served by fan-out of another request's identical plan in the
-    #: same round (one execution, shared result table).
-    service_deduped: int = 0
     #: Gauge (not a counter): total bytes currently held across the mask /
     #: result / sort-order caches.  Carried as a current value -- never
     #: subtracted -- through :meth:`delta_since`; zeroed by
@@ -358,13 +339,6 @@ class EngineStats:
     #: Gauge: current bytes per cache (``{"masks": ..., "results": ...,
     #: "sort_orders": ...}``).
     cache_bytes: Dict[str, float] = field(default_factory=dict)
-    #: Gauge: queries currently waiting in the service queue (0 when no
-    #: service wraps the engine).
-    service_queue_depth: int = 0
-    #: Gauge: occupancy of the service's most recent micro-batch round
-    #: (queries executed / ``max_batch``; can exceed 1.0 when one oversized
-    #: request rode alone).
-    service_batch_occupancy: float = 0.0
     #: Serialises every mutation (excluded from :meth:`as_dict` / :meth:`reset`).
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
@@ -375,13 +349,8 @@ class EngineStats:
 
     #: Gauge fields: current values, not lifetime counters -- carried
     #: through :meth:`delta_since` unsubtracted and zeroed when the caches
-    #: (or service queues) they describe are cleared / drained.
-    GAUGE_FIELDS = (
-        "bytes_cached",
-        "cache_bytes",
-        "service_queue_depth",
-        "service_batch_occupancy",
-    )
+    #: they describe are cleared.
+    GAUGE_FIELDS = ("bytes_cached", "cache_bytes")
 
     #: Delta-refresh bookkeeping fields.  Like the byte gauges they describe
     #: the engine's *current* table generation rather than one measurement
@@ -1310,39 +1279,6 @@ class QueryEngine:
                     results[i] = table
         self.stats.bump(batches=1)
         return results  # type: ignore[return-value]
-
-    def execute_plans_deduped(
-        self, plans: Sequence[QueryPlan]
-    ) -> Tuple[List[Table], int]:
-        """:meth:`execute_plans` with one execution per distinct plan signature.
-
-        The dedup seam of the admission layer
-        (:class:`repro.query.service.QueryService`): identical plans --
-        same :meth:`QueryPlan.signature` -- submitted by different
-        concurrent requests execute **once** and every duplicate position
-        receives the shared (immutable) result table by fan-out.  Plans
-        with an unhashable WHERE clause (``signature() is None``) are never
-        deduped; they execute independently, exactly as before.  Returns
-        ``(tables in input order, number of duplicate positions served by
-        fan-out)``.  The result-cache layer cannot subsume this: within one
-        ``execute_plans`` call duplicate plans both miss the cache and fuse
-        into a plan that computes the aggregate twice.
-        """
-        plans = list(plans)
-        unique: List[QueryPlan] = []
-        slots: List[int] = []
-        seen: Dict[tuple, int] = {}
-        for plan in plans:
-            signature = plan.signature()
-            slot = seen.get(signature) if signature is not None else None
-            if slot is None:
-                slot = len(unique)
-                unique.append(plan)
-                if signature is not None:
-                    seen[signature] = slot
-            slots.append(slot)
-        tables = self.execute_plans(unique)
-        return [tables[slot] for slot in slots], len(plans) - len(unique)
 
     def _run_fused(self, plans: List[QueryPlan], batched: bool) -> List[List[Table]]:
         """Run fused plans on the backend(s); book stats and the result cache.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.feataug as feataug_module
 from repro.core.config import FeatAugConfig
 from repro.core.feataug import FeatAug
 
@@ -202,3 +203,52 @@ class TestFeatAugFacade:
         bundle = tiny_student
         feataug = FeatAug(label=bundle.label_col, keys=bundle.keys, task="binary", model="RF", config=fast_config)
         assert feataug.model is not None
+
+
+class TestInputColumns:
+    """``augment`` rejects a missing input column before any search work,
+    with a ``ValueError`` naming the table and the column."""
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        """Fail the test if ``augment`` gets as far as resolving an engine
+        (the first step of building pools and searching)."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("augment started searching on bad input")
+
+        monkeypatch.setattr(feataug_module, "engine_for", forbidden)
+
+    @pytest.mark.parametrize(
+        "table, drop, match",
+        [
+            ("train", "session_id", "join key 'session_id' is not a column of the train table"),
+            ("relevant", "session_id", "join key 'session_id' is not a column of the relevant table"),
+            ("train", "label", "label 'label' is not a column of the train table"),
+            ("relevant", "event_type", "candidate attribute 'event_type' is not a column of the relevant table"),
+            ("relevant", "hover_duration", "aggregation attribute 'hover_duration' is not a column of the relevant table"),
+        ],
+    )
+    def test_missing_column_fails_before_searching(
+        self, facade, tiny_student, no_engine, table, drop, match
+    ):
+        bundle = tiny_student
+        train, relevant = bundle.train, bundle.relevant
+        if table == "train":
+            train = train.drop(drop)
+        else:
+            relevant = relevant.drop(drop)
+        with pytest.raises(ValueError, match=match):
+            facade.augment(
+                train, relevant,
+                candidate_attrs=["event_type", "level"], agg_attrs=["hover_duration"],
+            )
+
+    def test_missing_predicate_attr_fails_before_searching(
+        self, facade, tiny_student, no_engine
+    ):
+        bundle = tiny_student
+        with pytest.raises(
+            ValueError, match="predicate attribute 'nope' is not a column of the relevant table"
+        ):
+            facade.augment(bundle.train, bundle.relevant, predicate_attrs=["level", "nope"])

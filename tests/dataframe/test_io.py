@@ -83,6 +83,13 @@ class TestInference:
         loaded = read_csv(path)
         assert loaded.column("t").dtype is DType.DATETIME
 
+    def test_row_longer_than_header_raises_with_its_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        # The quoted field spans lines 3-4, so the over-long row is on line 5.
+        path.write_text('uid,amt\nu1,1\n"u\n2",3\nu3,1,99\n')
+        with pytest.raises(ValueError, match=r"wide\.csv: line 5 has 3 fields but the header has 2"):
+            read_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -90,3 +90,65 @@ class TestCommands:
         augmented = read_csv(output_path)
         assert augmented.num_rows == bundle.train.num_rows
         assert any(name.startswith("feataug_") for name in augmented.column_names)
+
+
+class TestAugmentInputErrors:
+    """Bad input to ``augment`` exits with code 2 and one error line naming
+    the table and the column, before any search work."""
+
+    @pytest.fixture
+    def csvs(self, tmp_path):
+        bundle = load_dataset("student", scale=0.1, seed=0)
+        paths = {
+            "train": tmp_path / "train.csv",
+            "relevant": tmp_path / "logs.csv",
+            "train_renamed_key": tmp_path / "train_renamed_key.csv",
+            "relevant_renamed_key": tmp_path / "logs_renamed_key.csv",
+        }
+        write_csv(bundle.train, paths["train"])
+        write_csv(bundle.relevant, paths["relevant"])
+        write_csv(bundle.train.rename({"session_id": "uid"}), paths["train_renamed_key"])
+        write_csv(bundle.relevant.rename({"session_id": "uid"}), paths["relevant_renamed_key"])
+        return paths
+
+    def run_augment(self, capsys, tmp_path, train, relevant, *extra):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "augment",
+                    "--train", str(train),
+                    "--relevant", str(relevant),
+                    "--keys", "session_id",
+                    "--output", str(tmp_path / "out.csv"),
+                    *extra,
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "out.csv").exists()
+        error_lines = [
+            line for line in capsys.readouterr().err.splitlines() if "error:" in line
+        ]
+        assert len(error_lines) == 1
+        return error_lines[0]
+
+    @pytest.mark.parametrize(
+        "train, relevant, label, expected",
+        [
+            ("train_renamed_key", "relevant", "label", "join key 'session_id' is not a column of the train table"),
+            ("train", "relevant_renamed_key", "label", "join key 'session_id' is not a column of the relevant table"),
+            ("train", "relevant", "outcome", "label 'outcome' is not a column of the train table"),
+        ],
+    )
+    def test_missing_column_is_a_usage_error(
+        self, csvs, capsys, tmp_path, train, relevant, label, expected
+    ):
+        line = self.run_augment(
+            capsys, tmp_path, csvs[train], csvs[relevant], "--label", label
+        )
+        assert expected in line
+
+    def test_overlong_csv_row_is_a_usage_error(self, csvs, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(csvs["train"].read_text() + "extra,1,2,3,4\n")
+        line = self.run_augment(capsys, tmp_path, bad, csvs["relevant"], "--label", "label")
+        assert "bad.csv: line" in line and "fields but the header has 4" in line

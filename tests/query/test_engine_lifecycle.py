@@ -18,6 +18,10 @@ The three PR 9 engine satellites, pinned:
   execution transparently re-opens the engine -- worker pool included --
   with results identical to a never-closed one, and lifetime counters
   survive the cycle.
+* **Backend error mid-batch** -- an error raised while one fused plan of a
+  batch executes reaches the ``execute_batch`` caller exactly once, serial
+  or from a pool worker, without hanging; the engine keeps serving, and
+  its next batch matches the naive reference.
 """
 
 import threading
@@ -30,6 +34,7 @@ from repro.dataframe.column import Column, DType
 from repro.dataframe.table import Table
 from repro.query.backends import backend_names
 from repro.query.engine import EngineConfig, QueryEngine, engine_for
+from repro.query.executor import execute_query_naive
 from repro.query.query import PredicateAwareQuery
 
 BACKENDS = tuple(backend_names())
@@ -71,12 +76,19 @@ def multi_plan_batch():
     ]
 
 
-def assert_tables_equal(actual, expected):
+def assert_tables_equal(actual, expected, exact=True):
+    """Same columns; values exact, or within 1e-9 on numeric columns."""
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert got.column_names == want.column_names
         for name in want.column_names:
-            assert got.column(name) == want.column(name)
+            left, right = got.column(name), want.column(name)
+            if exact or not left.is_numeric_like:
+                assert left == right
+            else:
+                assert np.allclose(
+                    left.values, right.values, rtol=0.0, atol=1e-9, equal_nan=True
+                )
 
 
 class TestEngineForRace:
@@ -195,7 +207,6 @@ class TestEmptyBatch:
         before = engine.stats.as_dict()
         assert engine.execute_batch([]) == []
         assert engine.execute_plans([]) == []
-        assert engine.execute_plans_deduped([]) == ([], 0)
         assert engine.stats.as_dict() == before  # no counter drift at all
 
     @pytest.mark.parametrize("workers", (2, 4))
@@ -207,7 +218,6 @@ class TestEmptyBatch:
             before = engine.stats.as_dict()
             assert engine.execute_batch([]) == []
             assert engine.execute_plans([]) == []
-            assert engine.execute_plans_deduped([]) == ([], 0)
             assert engine.stats.as_dict() == before
         finally:
             engine.close()
@@ -293,5 +303,55 @@ class TestClosedEngineReopen:
             for name in first.column_names:
                 assert again.column(name) == first.column(name)
             assert not engine.closed
+        finally:
+            engine.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("workers", (1, 2, 4))
+class TestBackendErrorMidBatch:
+    def test_error_reaches_the_caller_once_and_the_engine_recovers(
+        self, monkeypatch, backend, workers
+    ):
+        """The backend raises on the second of three fused plans.  The
+        patch sits on the backend class, so it also fires in the pool
+        workers' own backend instances; it keys on the plan's predicate, so
+        it fires whichever worker (or aggregate-spec unit) runs that plan."""
+        table = make_relevant(5)
+        queries = multi_plan_batch()
+        engine = QueryEngine(
+            table, config=EngineConfig(backend=backend, num_workers=workers)
+        )
+        failing_key = engine.plan(queries[2]).group_key()  # cat = 'b'
+        boom = RuntimeError("backend failed on the second fused plan")
+        armed = [True]
+        backend_cls = type(engine.backend)
+        run_plan_with_context = backend_cls.run_plan_with_context
+
+        def faulty(self, plan, context):
+            if armed[0] and plan.group_key() == failing_key:
+                raise boom
+            return run_plan_with_context(self, plan, context)
+
+        monkeypatch.setattr(backend_cls, "run_plan_with_context", faulty)
+        outcome = {}
+
+        def call():
+            try:
+                outcome["tables"] = engine.execute_batch(queries)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                outcome["error"] = exc
+
+        try:
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(timeout=30)
+            assert not caller.is_alive(), "execute_batch hung on a backend error"
+            assert outcome == {"error": boom}
+            armed[0] = False
+            expected = [execute_query_naive(query, table) for query in queries]
+            assert_tables_equal(
+                engine.execute_batch(queries), expected, exact=backend != "sqlite"
+            )
         finally:
             engine.close()
